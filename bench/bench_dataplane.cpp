@@ -5,19 +5,23 @@
 // threads; `oversubscribed` records when a requested width was cut), verifies
 // the parallel outputs
 // are byte-identical to their sequential twins, and emits a machine-readable
-// BENCH_dataplane.json so subsequent PRs have a perf baseline to regress
-// against. `--smoke` shrinks every problem so CI can assert the emitter
-// works in milliseconds; full mode uses the paper-scale problems from the
-// acceptance criteria (256x256x1024 hyperspectral cube, 600x512x512
-// spatiotemporal stack).
+// BENCH_dataplane.json (or the path given as an argument) so subsequent PRs
+// have a perf baseline to regress against. `--smoke` shrinks every problem
+// so CI can assert the emitter works in milliseconds; full mode uses the
+// paper-scale problems from the acceptance criteria (256x256x1024
+// hyperspectral cube, 600x512x512 spatiotemporal stack) and adds the
+// full-only gates: a sequential GB/s ratchet per kernel and, on multi-core
+// hosts, a parallel-speedup floor at the widest pool.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "compress/codec.hpp"
 #include "telemetry/metrics.hpp"
 #include "tensor/ops.hpp"
@@ -99,22 +103,28 @@ struct KernelReport {
   std::vector<std::pair<size_t, double>> parallel_s;  ///< (threads, seconds)
   bool parity = true;        ///< parallel outputs byte-identical to sequential
 
+  double sequential_gbps() const {
+    return sequential_s > 0 ? static_cast<double>(bytes) / 1e9 / sequential_s
+                            : 0.0;
+  }
+  double speedup(double parallel_secs) const {
+    return parallel_secs > 0 ? sequential_s / parallel_secs : 0.0;
+  }
+
   Json to_json() const {
     Json par = Json::array();
     for (auto& [threads, secs] : parallel_s) {
       par.push_back(Json::object({
           {"threads", static_cast<int64_t>(threads)},
           {"seconds", secs},
-          {"speedup_vs_sequential", secs > 0 ? sequential_s / secs : 0.0},
+          {"speedup_vs_sequential", speedup(secs)},
       }));
     }
     Json j = Json::object({
         {"kernel", name},
         {"bytes", static_cast<int64_t>(bytes)},
         {"sequential_s", sequential_s},
-        {"sequential_gbps",
-         sequential_s > 0 ? static_cast<double>(bytes) / 1e9 / sequential_s
-                          : 0.0},
+        {"sequential_gbps", sequential_gbps()},
         {"parallel", par},
         {"parity", parity},
     });
@@ -130,7 +140,7 @@ struct KernelReport {
                 static_cast<double>(bytes) / 1e6, sequential_s * 1e3);
     for (auto& [threads, secs] : parallel_s) {
       std::printf("  | %zu thr %9.3f ms (%4.2fx)", threads, secs * 1e3,
-                  secs > 0 ? sequential_s / secs : 0.0);
+                  speedup(secs));
     }
     std::printf("  %s\n", parity ? "parity-ok" : "PARITY MISMATCH!");
   }
@@ -139,9 +149,14 @@ struct KernelReport {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string out_path = "BENCH_dataplane.json";
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else {
+      out_path = argv[i];
+    }
   }
   const int reps = smoke ? 1 : 2;
   const auto widths = pool_widths();
@@ -334,7 +349,7 @@ int main(int argc, char** argv) {
 
   // ---- pool telemetry: publish the ThreadPool profiling counters ----------
   // One series per pool width, exported both as Prometheus text (validated by
-  // tools/check_telemetry.py in CI) and inside the JSON baseline.
+  // tools/check_telemetry.py --prom in CI) and inside the JSON baseline.
   telemetry::MetricsRegistry registry;
   Json pool_stats = Json::array();
   for (size_t i = 0; i < widths.size(); ++i) {
@@ -376,38 +391,83 @@ int main(int argc, char** argv) {
   }
   util::write_file("BENCH_dataplane.prom", registry.to_prometheus());
 
-  // ---- regression assertions ----------------------------------------------
-  // The sum_keep_axis3 parallel path once ran at 0.32x of sequential (chunk
-  // boundaries split cache lines of the shared output row -> false sharing).
-  // Guard against it coming back: at the widest width the parallel time must
-  // beat sequential whenever the host can actually run threads side by side.
+  // ---- gates ---------------------------------------------------------------
   const size_t hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  bool regressions_ok = true;
-  if (!smoke && hw_threads > 1) {
-    for (const auto& r : reports) {
-      if (r.name != "sum_keep_axis3_spectrum" || r.parallel_s.empty()) continue;
-      const auto& [w, secs] = r.parallel_s.back();
-      if (w > 1 && secs > 0 && r.sequential_s / secs <= 1.0) {
-        std::printf("REGRESSION: %s at %zu threads is %.2fx sequential "
-                    "(false-sharing guard demands > 1.0x)\n",
-                    r.name.c_str(), w, r.sequential_s / secs);
-        regressions_ok = false;
-      }
-    }
-  }
-
-  // ---- emit the machine-readable baseline ---------------------------------
-  Json kernels = Json::array();
-  bool all_parity = true;
-  for (const auto& r : reports) {
-    kernels.push_back(r.to_json());
-    all_parity = all_parity && r.parity;
-  }
   const auto requested = requested_widths();
   bool oversubscribed = false;
   for (size_t w : requested) oversubscribed = oversubscribed || w > hw_threads;
-  Json doc = Json::object({
-      {"schema", "pico.bench.dataplane.v2"},
+  // The sweep is clamped, never oversubscribed, and the flag agrees with the
+  // clamping: some requested width was cut iff it is not in the sweep.
+  bool cut = false;
+  for (size_t w : requested) {
+    cut = cut || std::find(widths.begin(), widths.end(), w) == widths.end();
+  }
+  bench::Report report("dataplane", smoke);
+  report.check("hardware_threads", hw_threads, ">=", 1);
+  report.check("pool.min_width", widths.front(), ">=", 1);
+  report.check("pool.width_excess",
+               static_cast<double>(widths.back()) - hw_threads, "<=", 0);
+  report.check("pool.oversubscribed_consistent", oversubscribed == cut, "==",
+               1);
+
+  // Sequential-throughput ratchet (GB/s, full mode only: smoke problems fit
+  // in cache and overshoot). The convert/normalize floors are 2x the 1.9 GB/s
+  // scalar baseline recorded before the SIMD layer landed; the sums sit well
+  // under their ~10-11 GB/s and the CRCs under their ~1.3-1.4 GB/s, so a
+  // regression to scalar code fails while shared-host noise does not.
+  const std::map<std::string, double> kSeqGbpsFloor = {
+      {"convert_fp64_u8", 3.8},    {"to_u8_normalized", 3.8},
+      {"sum_axis3_spectral", 5.0}, {"sum_keep_axis3_spectrum", 5.0},
+      {"crc64", 1.1},              {"crc64_copy", 1.1},
+  };
+  // Parallel-speedup floor at the widest pool (full mode on a multi-core
+  // host only: a width-N pool on one hardware thread legitimately runs
+  // slower than sequential). SIMD kernels must actually gain from threads;
+  // sum_keep_axis3 once ran at 0.32x through false sharing on the shared
+  // output row, so it must strictly beat sequential.
+  const std::map<std::string, std::pair<const char*, double>> kSpeedupFloor = {
+      {"convert_fp64_u8", {">=", 1.0}},
+      {"to_u8_normalized", {">=", 1.0}},
+      {"sum_axis3_spectral", {">=", 1.0}},
+      {"sum_keep_axis3_spectrum", {">", 1.0}},
+  };
+  bool all_parity = true;
+  for (const auto& r : reports) {
+    all_parity = all_parity && r.parity;
+    const std::string p = r.name + ".";
+    report.check(p + "parity", r.parity, "==", 1);
+    report.check(p + "sequential_s", r.sequential_s, ">=", 0);
+    if (!r.parallel_s.empty()) {
+      double fastest = r.parallel_s.front().second;
+      for (const auto& [threads, secs] : r.parallel_s) {
+        fastest = std::min(fastest, secs);
+      }
+      report.check(p + "min_parallel_s", fastest, ">", 0);
+    }
+    auto floor = kSeqGbpsFloor.find(r.name);
+    if (!smoke && floor != kSeqGbpsFloor.end()) {
+      report.metric(p + "sequential_gbps", r.sequential_gbps());
+      report.gate("full." + p + "sequential_gbps", p + "sequential_gbps", ">=",
+                  floor->second);
+    }
+    const size_t widest = r.parallel_s.empty() ? 0 : r.parallel_s.back().first;
+    if (!smoke && hw_threads > 1 && widest > 1) {
+      auto speedup = kSpeedupFloor.find(r.name);
+      auto [op, bound] = speedup == kSpeedupFloor.end()
+                             ? std::pair<const char*, double>{">=", 0.7}
+                             : speedup->second;
+      report.metric(p + "widest_speedup",
+                    r.speedup(r.parallel_s.back().second));
+      report.gate("full." + p + "widest_speedup", p + "widest_speedup", op,
+                  bound);
+    }
+  }
+  report.check("parity_all", all_parity, "==", 1);
+
+  // ---- emit the machine-readable baseline ---------------------------------
+  Json kernels = Json::array();
+  for (const auto& r : reports) kernels.push_back(r.to_json());
+  Json detail = Json::object({
       {"mode", smoke ? "smoke" : "full"},
       {"hardware_threads", static_cast<int64_t>(hw_threads)},
       {"simd_level", std::string(tensor::simd::active_level_name())},
@@ -428,14 +488,10 @@ int main(int argc, char** argv) {
       {"kernels", kernels},
       {"pools", pool_stats},
   });
-  const char* out_path = "BENCH_dataplane.json";
-  util::write_file(out_path, doc.dump(2) + "\n");
   std::printf("wrote BENCH_dataplane.prom (%zu metric families)\n",
               registry.family_count());
-  std::printf("\nwrote %s (simd=%s, %s%s)\n", out_path,
-              tensor::simd::active_level_name(),
+  std::printf("simd=%s, %s\n", tensor::simd::active_level_name(),
               all_parity ? "all parallel kernels byte-identical to sequential"
-                         : "PARITY FAILURES — see above",
-              regressions_ok ? "" : ", SPEEDUP REGRESSIONS — see above");
-  return all_parity && regressions_ok ? 0 : 1;
+                         : "PARITY FAILURES — see above");
+  return report.write(out_path, std::move(detail));
 }

@@ -16,17 +16,18 @@
 //
 // p99/p50 flow latency (submit -> settle, virtual time) and the driver's
 // wall-clock flows/s are recorded alongside. Emits BENCH_federation.json
-// (checked in; CI regenerates with --smoke and gates via
-// tools/check_telemetry.py --federation). On gate failure the chaos run's
-// broker report is dumped to federation-report.json for the CI artifact
-// upload.
+// (checked in; CI regenerates with --smoke and re-checks the gates via
+// tools/check_bench.py). On gate failure the chaos run's broker report is
+// dumped to federation-report.json for the CI artifact upload.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "bench_report.hpp"
 #include "fault/schedule.hpp"
 #include "federation/campaign.hpp"
+#include "util/bytes.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -35,15 +36,6 @@ using namespace pico;
 using util::Json;
 
 namespace {
-
-bool g_ok = true;
-
-void check(bool condition, const char* what) {
-  if (!condition) {
-    std::printf("FAIL: %s\n", what);
-    g_ok = false;
-  }
-}
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -152,24 +144,29 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(chaos.broker.optional_dropped),
       chaos.broker.recovery_s);
 
-  check(clean.completion_frac() >= 1.0, "fault-free run completes every flow");
-  check(chaos.completion_frac() >= kCompletionMin,
-        "chaos completion >= 99% via failover");
+  bench::Report report("federation", smoke);
+  auto check_run = [&](const std::string& p,
+                       const federation::FederatedCampaignResult& r) {
+    report.check(p + "flows", r.flows, ">", 0);
+    report.check(p + "p50_s", r.p50_s, ">=", 0);
+    report.check(p + "p99_s", r.p99_s, ">=", 0);
+    report.check(p + "jain_fairness", r.jain_fairness, ">=", kFairnessMin);
+  };
+  check_run("clean.", clean);
+  check_run("chaos.", chaos);
+  report.check("clean.completion_frac", clean.completion_frac(), ">=", 1.0);
+  report.check("chaos.completion_frac", chaos.completion_frac(), ">=",
+               kCompletionMin);
   bool fp_match = chaos.fingerprint == clean.fingerprint;
-  check(fp_match, "chaos publish-index fingerprint matches fault-free run");
-  check(chaos.broker.failovers > 0, "site kill exercised the failover path");
-  check(chaos.broker.resumed > 0, "failover resumed past completed steps");
-  check(chaos.broker.recovery_s > 0 &&
-            chaos.broker.recovery_s <= kRecoveryCeilingS,
-        "failover recovery within ceiling");
-  check(clean.jain_fairness >= kFairnessMin, "fault-free fairness floor");
-  check(chaos.jain_fairness >= kFairnessMin, "chaos fairness floor");
+  report.check("chaos.fingerprint_match", fp_match, "==", 1);
+  report.check("chaos.failovers", chaos.broker.failovers, ">", 0);
+  report.check("chaos.resumed", chaos.broker.resumed, ">", 0);
+  report.metric("chaos.recovery_s", chaos.broker.recovery_s);
+  report.gate("chaos.recovery_s.positive", "chaos.recovery_s", ">", 0);
+  report.gate("chaos.recovery_s.ceiling", "chaos.recovery_s", "<=",
+              kRecoveryCeilingS);
 
-  Json doc = Json::object({
-      {"bench", "federation"},
-      {"schema", "pico.bench.federation.v1"},
-      {"smoke", smoke},
-      {"pass", g_ok},
+  Json detail = Json::object({
       {"sites", static_cast<int64_t>(cfg.sites.size())},
       {"flows", static_cast<int64_t>(cfg.flows)},
       {"users", static_cast<int64_t>(cfg.users)},
@@ -184,27 +181,11 @@ int main(int argc, char** argv) {
       {"clean", campaign_json(clean, clean_wall)},
       {"chaos", campaign_json(chaos, chaos_wall)},
   });
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::printf("FAIL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::string text = doc.dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-
-  if (!g_ok) {
+  if (!report.pass() &&
+      util::write_file("federation-report.json",
+                       chaos.broker_report.dump(2) + "\n")) {
     // Leave the chaos broker report behind for the CI failure artifact.
-    FILE* r = std::fopen("federation-report.json", "w");
-    if (r) {
-      std::string report = chaos.broker_report.dump(2);
-      std::fwrite(report.data(), 1, report.size(), r);
-      std::fputc('\n', r);
-      std::fclose(r);
-      std::printf("wrote federation-report.json (gate failure diagnostics)\n");
-    }
+    std::printf("wrote federation-report.json (gate failure diagnostics)\n");
   }
-  return g_ok ? 0 : 1;
+  return report.write(out_path, std::move(detail));
 }

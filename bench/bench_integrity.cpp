@@ -19,8 +19,8 @@
 // the baseline's, and zero duplicate publications; the gap between the two
 // chaos runs' wire totals is the retry bytes saved.
 //
-// Emits BENCH_integrity.json (checked in; CI regenerates and schema-checks
-// it via tools/check_telemetry.py --integrity).
+// Emits BENCH_integrity.json (checked in; CI regenerates it with --smoke and
+// re-checks the gates via tools/check_bench.py).
 #include <cstdio>
 #include <cstring>
 #include <set>
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "auth/auth.hpp"
+#include "bench_report.hpp"
 #include "core/campaign.hpp"
 #include "net/network.hpp"
 #include "storage/store.hpp"
@@ -38,15 +39,6 @@
 using namespace pico;
 
 namespace {
-
-bool g_ok = true;
-
-void check(bool condition, const char* what) {
-  if (!condition) {
-    std::printf("FAIL: %s\n", what);
-    g_ok = false;
-  }
-}
 
 std::string hex64(uint64_t v) {
   char buf[17];
@@ -83,6 +75,9 @@ struct ResumeOutcome {
   int64_t retry_wire_bytes = 0;   ///< bytes moved by the retried task alone
   int64_t total_wire_bytes = 0;   ///< both attempts together
   int64_t chunks_resumed = 0;
+  /// Source staged, both submits accepted, both attempts succeeded, and the
+  /// delivered object verifies.
+  bool ok = false;
 };
 
 // One streaming transfer over a dedicated 10 MB/s link, partitioned after the
@@ -117,7 +112,6 @@ ResumeOutcome run_resume_scenario(bool verified_resume) {
   auth::Token token = auth.issue("user@anl.gov", {"transfer"});
 
   if (!src_store.put_virtual("raw/acq.emd", kResumeFileBytes, 7, engine.now())) {
-    check(false, "resume scenario: staging the source file");
     return {};
   }
   transfer::TransferRequest req;
@@ -127,7 +121,6 @@ ResumeOutcome run_resume_scenario(bool verified_resume) {
   req.streaming_chunk_bytes = kResumeChunkBytes;
 
   auto first = service.submit(req, token);
-  check(static_cast<bool>(first), "resume scenario: first submit accepted");
   // Chunk landings: 2.1, 3.1, ..., 11.1 (setup 1.0 + per-file 0.1 + 1 s of
   // wire per 10 MB chunk). Partition right after the tenth landing.
   engine.schedule_at(sim::SimTime::from_seconds(11.55), [&] {
@@ -144,19 +137,15 @@ ResumeOutcome run_resume_scenario(bool verified_resume) {
   });
   engine.run();
 
-  check(static_cast<bool>(second), "resume scenario: retry submit accepted");
   if (!first || !second) return {};
   transfer::TaskInfo one = service.status(first.value());
   transfer::TaskInfo two = service.status(second.value());
-  check(one.state == transfer::TaskState::Succeeded,
-        "resume scenario: stalled attempt eventually settles");
-  check(two.state == transfer::TaskState::Succeeded,
-        "resume scenario: retried attempt succeeds");
-  check(dst_store.exists("exp/acq.emd") &&
-            dst_store.verify("exp/acq.emd").value_or(false),
-        "resume scenario: delivered object verifies");
 
   ResumeOutcome out;
+  out.ok = one.state == transfer::TaskState::Succeeded &&
+           two.state == transfer::TaskState::Succeeded &&
+           dst_store.exists("exp/acq.emd") &&
+           dst_store.verify("exp/acq.emd").value_or(false);
   out.retry_wire_bytes = two.wire_bytes;
   out.total_wire_bytes = one.wire_bytes + two.wire_bytes;
   out.chunks_resumed = two.chunks_resumed;
@@ -189,6 +178,7 @@ struct CampaignRun {
   int64_t duplicate_publishes = 0;  ///< records beyond one per successful flow
   uint64_t index_fingerprint = 0;
   bool eagle_clean = true;  ///< every surviving Eagle object verifies
+  size_t duplicate_settles = 0;  ///< logical flows that settled twice
 };
 
 core::FacilityConfig campaign_facility_config() {
@@ -266,8 +256,7 @@ CampaignRun run_campaign_mode(const std::string& name, double duration_s,
     for (const core::CompletedFlow& f : *bucket) {
       ++run.settled;
       if (f.success) ++run.successes;
-      check(labels.insert(f.label).second,
-            "campaign: each logical flow settles exactly once");
+      if (!labels.insert(f.label).second) ++run.duplicate_settles;
     }
   }
 
@@ -347,14 +336,16 @@ void print_run(const CampaignRun& r) {
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_integrity.json";
-  double duration_s = 3600;
+  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
-      duration_s = 900;  // quarter-hour campaign for CI smoke
+      smoke = true;
     } else {
       out_path = argv[i];
     }
   }
+  const double duration_s = smoke ? 900 : 3600;  // quarter-hour CI smoke
+  bench::Report report("integrity", smoke);
 
   // ---- part 1: the 50%-progress resume acceptance pair ----
   ResumeOutcome resume = run_resume_scenario(/*verified_resume=*/true);
@@ -372,12 +363,15 @@ int main(int argc, char** argv) {
       static_cast<int>(kResumeFileBytes / 1'000'000), 100 * resume_retry_frac,
       static_cast<long long>(resume.chunks_resumed), 100 * resume_total_frac,
       100 * restart_total_frac);
-  check(resume.chunks_resumed >= 5,
-        "acceptance: retry resumed the verified prefix from the manifest");
-  check(resume_retry_frac < 0.6,
-        "acceptance: resumed retry moves < 60% of file bytes");
-  check(restart_total_frac >= 1.5,
-        "acceptance: whole-file restart moves >= 150% of file bytes");
+  // Acceptance: the retry resumes the verified prefix from the manifest and
+  // moves < 60% of the file; a whole-file restart moves >= 150%.
+  report.check("resume.scenario_ok", resume.ok, "==", 1);
+  report.check("restart.scenario_ok", restart.ok, "==", 1);
+  report.check("resume.chunks_resumed", resume.chunks_resumed, ">=", 5);
+  report.check("resume.retry_wire_frac", resume_retry_frac, "<", 0.6);
+  report.gate("resume.retry_wire_frac.nonneg", "resume.retry_wire_frac", ">=",
+              0);
+  report.check("restart.total_wire_frac", restart_total_frac, ">=", 1.5);
 
   // ---- part 2: the spatiotemporal campaign, three ways ----
   CampaignRun baseline =
@@ -406,28 +400,33 @@ int main(int argc, char** argv) {
       baseline.wire_bytes > 0 ? retry_bytes_saved / baseline.wire_bytes : 0.0,
       index_match ? "byte-identical" : "DIVERGED");
 
-  check(baseline.failed == 0, "baseline campaign: no failures");
-  check(chaos_resume.failed == 0 && chaos_resume.lost == 0,
-        "chaos campaign (resume): every flow eventually succeeds");
-  check(chaos_resume.chunks_resumed > 0,
-        "chaos campaign (resume): manifest resume actually engaged");
-  check(chaos_resume.corruption_wire > 0,
-        "chaos campaign: wire bit-flips detected");
-  check(chaos_resume.corruption_at_rest > 0 && chaos_resume.repairs > 0,
-        "chaos campaign: scrubber found and repaired at-rest rot");
-  check(chaos_resume.duplicates_suppressed > 0,
-        "chaos campaign: idempotency keys suppressed duplicate publishes");
-  check(chaos_resume.duplicate_publishes == 0,
-        "chaos campaign: exactly one record per successful flow");
-  check(chaos_resume.eagle_clean && baseline.eagle_clean,
-        "campaigns end with every delivered object intact");
-  check(index_match,
-        "chaos campaign index is byte-identical to the fault-free run");
-  check(retry_bytes_saved > 0,
-        "verified resume saves retry bytes vs whole-file restart");
+  // Every campaign settles flows and ends with every delivered object
+  // intact; the chaos run with resume loses nothing, exercises every
+  // integrity check, publishes exactly one record per successful flow, and
+  // converges on the fault-free index.
+  for (const CampaignRun* r : {&baseline, &chaos_resume, &chaos_restart}) {
+    report.check(r->name + ".settled", r->settled, ">", 0);
+    report.check(r->name + ".eagle_clean", r->eagle_clean, "==", 1);
+    report.check(r->name + ".duplicate_settles", r->duplicate_settles, "==", 0);
+  }
+  report.check("baseline.failed", baseline.failed, "==", 0);
+  report.check("chaos_resume.failed", chaos_resume.failed, "==", 0);
+  report.check("chaos_resume.lost", chaos_resume.lost, "==", 0);
+  report.check("chaos_resume.chunks_resumed", chaos_resume.chunks_resumed, ">",
+               0);
+  report.check("chaos_resume.corruption_detected_wire",
+               chaos_resume.corruption_wire, ">", 0);
+  report.check("chaos_resume.corruption_detected_at_rest",
+               chaos_resume.corruption_at_rest, ">", 0);
+  report.check("chaos_resume.repairs", chaos_resume.repairs, ">", 0);
+  report.check("chaos_resume.publish_duplicates_suppressed",
+               chaos_resume.duplicates_suppressed, ">", 0);
+  report.check("chaos_resume.duplicate_publishes",
+               chaos_resume.duplicate_publishes, "==", 0);
+  report.check("chaos_resume.index_match", index_match, "==", 1);
+  report.check("retry_bytes_saved", retry_bytes_saved, ">", 0);
 
-  util::Json doc = util::Json::object({
-      {"schema", "pico.bench.integrity.v1"},
+  util::Json detail = util::Json::object({
       {"duration_s", duration_s},
       {"resume_acceptance",
        util::Json::object({
@@ -451,9 +450,6 @@ int main(int argc, char** argv) {
            {"retry_bytes_saved", retry_bytes_saved},
            {"index_match_resume_vs_baseline", index_match},
        })},
-      {"pass", g_ok},
   });
-  util::write_file(out_path, doc.dump(2) + "\n");
-  std::printf("\nwrote %s (%s)\n", out_path.c_str(), g_ok ? "pass" : "FAIL");
-  return g_ok ? 0 : 1;
+  return report.write(out_path, std::move(detail));
 }

@@ -1,6 +1,6 @@
 // Health-plane overhead and efficacy bench (A12).
 //
-// Two claims, both gated by CI (tools/check_telemetry.py --observability):
+// Two claims, both gated here and re-checked by CI (tools/check_bench.py):
 //
 //  overhead - the always-on flight recorder + periodic health snapshot loop
 //             costs < 2% wall clock on both Table-1 campaigns, measured by
@@ -22,8 +22,7 @@
 //             fault-free campaign stays completely silent: no alerts, no
 //             watchdog flags, no dump-worthy rings
 //
-// Emits BENCH_observability.json (checked in; CI regenerates with --smoke and
-// schema-checks).
+// Emits BENCH_observability.json (checked in; CI regenerates with --smoke).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -32,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "core/campaign.hpp"
 #include "telemetry/health/monitor.hpp"
 #include "util/bytes.hpp"
@@ -40,15 +40,6 @@
 using namespace pico;
 
 namespace {
-
-bool g_ok = true;
-
-void check(bool condition, const char* what) {
-  if (!condition) {
-    std::printf("FAIL: %s\n", what);
-    g_ok = false;
-  }
-}
 
 // ----------------------------------------------------------- overhead ----
 
@@ -85,23 +76,25 @@ core::CampaignConfig table1_campaign(bool hyper, double duration_s) {
   return cfg;
 }
 
-/// Wall-clock seconds for one full campaign on a fresh facility.
-double time_campaign(bool hyper, bool health_on, double duration_s) {
-  core::Facility facility(table1_config(health_on));
-  core::CampaignConfig cfg = table1_campaign(hyper, duration_s);
-  auto t0 = std::chrono::steady_clock::now();
-  core::CampaignResult result = core::run_campaign(facility, cfg);
-  auto t1 = std::chrono::steady_clock::now();
-  check(result.failed == 0, "table-1 campaign: no failed flows");
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
 struct OverheadRun {
   std::string name;
   double off_s = 0;
   double on_s = 0;
   double overhead_pct = 0;
+  size_t failed = 0;  ///< failed flows summed over every timed campaign
 };
+
+/// Wall-clock seconds for one full campaign on a fresh facility.
+double time_campaign(bool hyper, bool health_on, double duration_s,
+                     OverheadRun& run) {
+  core::Facility facility(table1_config(health_on));
+  core::CampaignConfig cfg = table1_campaign(hyper, duration_s);
+  auto t0 = std::chrono::steady_clock::now();
+  core::CampaignResult result = core::run_campaign(facility, cfg);
+  auto t1 = std::chrono::steady_clock::now();
+  run.failed += result.failed;
+  return std::chrono::duration<double>(t1 - t0).count();
+}
 
 OverheadRun measure_overhead(bool hyper, double duration_s, int reps) {
   OverheadRun run;
@@ -112,16 +105,16 @@ OverheadRun measure_overhead(bool hyper, double duration_s, int reps) {
   // bias) and contributes one relative delta. Pairing cancels the slow
   // machine-load drift that dwarfs the true cost when the arms are pooled
   // separately; the median delta shrugs off spike outliers.
-  time_campaign(hyper, false, duration_s);
-  time_campaign(hyper, true, duration_s);
+  time_campaign(hyper, false, duration_s, run);
+  time_campaign(hyper, true, duration_s, run);
   for (int i = 0; i < reps; ++i) {
     double off_i, on_i;
     if (i % 2 == 0) {
-      off_i = time_campaign(hyper, false, duration_s);
-      on_i = time_campaign(hyper, true, duration_s);
+      off_i = time_campaign(hyper, false, duration_s, run);
+      on_i = time_campaign(hyper, true, duration_s, run);
     } else {
-      on_i = time_campaign(hyper, true, duration_s);
-      off_i = time_campaign(hyper, false, duration_s);
+      on_i = time_campaign(hyper, true, duration_s, run);
+      off_i = time_campaign(hyper, false, duration_s, run);
     }
     off.push_back(off_i);
     on.push_back(on_i);
@@ -219,6 +212,7 @@ struct HealthRun {
   size_t dumps = 0;
   size_t degraded_dumps = 0;  ///< dumps whose ring saw a stream-fallback
   size_t empty_dumps = 0;
+  double alert_min_at_s = 0;  ///< earliest recorded alert (0 when none)
   util::Json alerts = util::Json::array();
 };
 
@@ -245,6 +239,9 @@ HealthRun run_health_mode(const std::string& name, double duration_s,
   run.health_ticks = health.ticks();
   for (const auto& a : health.alerts()) {
     if (run.alerts.as_array().size() >= 24) break;  // keep the JSON readable
+    if (run.alerts.size() == 0 || a.at.seconds() < run.alert_min_at_s) {
+      run.alert_min_at_s = a.at.seconds();
+    }
     run.alerts.push_back(util::Json::object({
         {"at_s", a.at.seconds()},
         {"kind", a.kind},
@@ -286,16 +283,17 @@ util::Json health_json(const HealthRun& r) {
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_observability.json";
-  double duration_s = 3600;
-  int reps = 7;
+  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
-      duration_s = 900;
-      reps = 5;
+      smoke = true;
     } else {
       out_path = argv[i];
     }
   }
+  const double duration_s = smoke ? 900 : 3600;
+  const int reps = smoke ? 5 : 7;
+  bench::Report report("observability", smoke);
 
   // ---- overhead: health plane on vs off on both Table-1 campaigns ----
   OverheadRun hyper = measure_overhead(/*hyper=*/true, duration_s, reps);
@@ -308,10 +306,14 @@ int main(int argc, char** argv) {
                 r->name.c_str(), r->off_s * 1e3, r->on_s * 1e3,
                 r->overhead_pct);
   }
-  check(hyper.overhead_pct < 2.0,
-        "hyperspectral: health plane costs < 2% wall clock");
-  check(spatio.overhead_pct < 2.0,
-        "spatiotemporal: health plane costs < 2% wall clock");
+  const double kOverheadLimitPct = 2.0;
+  for (const OverheadRun* r : {&hyper, &spatio}) {
+    report.check(r->name + ".overhead_pct", r->overhead_pct, "<",
+                 kOverheadLimitPct);
+    report.check(r->name + ".off_wall_s", r->off_s, ">", 0);
+    report.check(r->name + ".on_wall_s", r->on_s, ">", 0);
+    report.check(r->name + ".failed_flows", r->failed, "==", 0);
+  }
 
   // ---- efficacy: chaos lights the plane up, fault-free stays dark ----
   HealthRun chaos = run_health_mode("chaos", duration_s, /*chaos=*/true);
@@ -332,22 +334,30 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(quiet.watchdog_flags),
       static_cast<unsigned long long>(quiet.anomaly_alerts), quiet.dumps);
 
-  check(chaos.failed == 0, "chaos campaign: recovery still holds (no failed)");
-  check(chaos.fallbacks >= 1, "chaos campaign: the degradation ladder fired");
-  check(chaos.slo_alerts >= 1, "chaos campaign: >= 1 SLO burn alert");
-  check(chaos.watchdog_flags >= 1, "chaos campaign: >= 1 watchdog flag");
-  check(chaos.anomaly_alerts >= 1, "chaos campaign: >= 1 anomaly alert");
-  check(chaos.degraded_dumps >= static_cast<size_t>(chaos.fallbacks),
-        "chaos campaign: a flight dump for every degraded flow");
-  check(chaos.empty_dumps == 0, "chaos campaign: every dump carries events");
-  check(quiet.slo_alerts == 0 && quiet.watchdog_flags == 0 &&
-            quiet.anomaly_alerts == 0,
-        "fault-free campaign: zero alerts of any kind");
-  check(quiet.dumps == 0, "fault-free campaign: no dump-worthy rings");
-  check(quiet.health_ticks > 0, "fault-free campaign: the monitor did run");
+  // Both campaigns settle flows with none failed while the monitor ticks;
+  // chaos lights every alert path up (with a non-empty flight dump per
+  // degraded flow), and the identical fault-free campaign stays dark.
+  for (const HealthRun* r : {&chaos, &quiet}) {
+    report.check(r->name + ".settled", r->settled, ">", 0);
+    report.check(r->name + ".failed", r->failed, "==", 0);
+    report.check(r->name + ".health_ticks", r->health_ticks, ">", 0);
+  }
+  report.check("chaos.fallbacks", chaos.fallbacks, ">=", 1);
+  report.check("chaos.slo_alerts", chaos.slo_alerts, ">=", 1);
+  report.check("chaos.watchdog_flags", chaos.watchdog_flags, ">=", 1);
+  report.check("chaos.anomaly_alerts", chaos.anomaly_alerts, ">=", 1);
+  report.check("chaos.degraded_dumps_minus_fallbacks",
+               static_cast<double>(chaos.degraded_dumps) - chaos.fallbacks,
+               ">=", 0);
+  report.check("chaos.empty_dumps", chaos.empty_dumps, "==", 0);
+  report.check("chaos.alert_details", chaos.alerts.size(), ">=", 1);
+  report.check("chaos.alert_min_at_s", chaos.alert_min_at_s, ">=", 0);
+  report.check("fault_free.slo_alerts", quiet.slo_alerts, "==", 0);
+  report.check("fault_free.watchdog_flags", quiet.watchdog_flags, "==", 0);
+  report.check("fault_free.anomaly_alerts", quiet.anomaly_alerts, "==", 0);
+  report.check("fault_free.flight_dumps", quiet.dumps, "==", 0);
 
-  util::Json doc = util::Json::object({
-      {"schema", "pico.bench.observability.v1"},
+  util::Json detail = util::Json::object({
       {"duration_s", duration_s},
       {"reps", static_cast<int64_t>(reps)},
       {"overhead", util::Json::array({
@@ -364,11 +374,8 @@ int main(int argc, char** argv) {
                            {"overhead_pct", spatio.overhead_pct},
                        }),
                    })},
-      {"overhead_limit_pct", 2.0},
+      {"overhead_limit_pct", kOverheadLimitPct},
       {"runs", util::Json::array({health_json(chaos), health_json(quiet)})},
-      {"pass", g_ok},
   });
-  util::write_file(out_path, doc.dump(2) + "\n");
-  std::printf("\nwrote %s (%s)\n", out_path.c_str(), g_ok ? "pass" : "FAIL");
-  return g_ok ? 0 : 1;
+  return report.write(out_path, std::move(detail));
 }

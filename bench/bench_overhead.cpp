@@ -1,12 +1,10 @@
-// Orchestration-overhead shootout: reruns both Table-1 campaigns under four
+// Orchestration-overhead shootout: reruns both Table-1 campaigns under three
 // completion-signaling modes and reports how much of the paper's measured
 // overhead (median 49.2 % hyperspectral / 21.1 % spatiotemporal, Sec. 3.3)
 // each one recovers:
 //
 //   paper_polling    - exponential backoff polling, 1 s doubling to 10 min
 //                      (the production system the paper measured)
-//   adaptive_polling - same poller with the jittered 30 s cap (reset on
-//                      status change still applies)
 //   event_driven     - provider completion notifications; polling degrades
 //                      to a sparse reconcile safety net
 //   event_streaming  - events plus cut-through: Analyze pre-dispatches held
@@ -16,13 +14,20 @@
 // Every run is cross-checked against telemetry: the RunTiming rebuilt from
 // the closed span tree must match the flow service's records at ns
 // granularity (span_parity). Emits BENCH_overhead.json (checked in; CI
-// regenerates and schema-checks it via tools/check_telemetry.py --overhead).
+// regenerates it with --smoke and re-checks the gates via
+// tools/check_bench.py). Gated claims: event-driven completion cuts the
+// hyperspectral median overhead fraction below polling (>= 2x at full
+// length), and cut-through streaming cuts the spatiotemporal median total
+// below event-only completion.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "core/campaign.hpp"
 #include "core/report.hpp"
 #include "telemetry/export.hpp"
@@ -36,16 +41,14 @@ namespace {
 struct ModeSpec {
   std::string name;
   flow::CompletionMode completion = flow::CompletionMode::Polling;
-  bool adaptive_backoff = false;
   bool streaming = false;
 };
 
 const std::vector<ModeSpec>& modes() {
   static const std::vector<ModeSpec> kModes = {
-      {"paper_polling", flow::CompletionMode::Polling, false, false},
-      {"adaptive_polling", flow::CompletionMode::Polling, true, false},
-      {"event_driven", flow::CompletionMode::Events, false, false},
-      {"event_streaming", flow::CompletionMode::Events, false, true},
+      {"paper_polling", flow::CompletionMode::Polling, false},
+      {"event_driven", flow::CompletionMode::Events, false},
+      {"event_streaming", flow::CompletionMode::Events, true},
   };
   return kModes;
 }
@@ -102,7 +105,6 @@ ModeResult run_mode(const ModeSpec& mode, core::UseCase use_case,
     fc.cost.provision_jitter_s = 10.0;
   }
   fc.flow.completion_mode = mode.completion;
-  if (mode.adaptive_backoff) fc.flow.backoff = flow::BackoffPolicy::adaptive();
 
   core::CampaignConfig cfg;
   cfg.use_case = use_case;
@@ -220,14 +222,17 @@ void print_campaign(const char* title, const std::vector<ModeResult>& rows,
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_overhead.json";
-  double duration_s = 3600;
+  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
-      duration_s = 900;  // quarter-hour campaigns for CI smoke
+      smoke = true;
     } else {
       out_path = argv[i];
     }
   }
+  const double duration_s = smoke ? 900 : 3600;  // quarter-hour CI smoke
+  bench::Report report("overhead", smoke);
+  report.check("duration_s", duration_s, ">", 0);
 
   util::Json campaigns = util::Json::array();
   bool parity_all = true;
@@ -243,6 +248,7 @@ int main(int argc, char** argv) {
       {core::UseCase::Spatiotemporal, "spatiotemporal",
        "Spatiotemporal (1200 MB / 120 s)", 21.1},
   };
+  std::map<std::string, ModeResult> by_mode;  ///< "use_case.mode" -> result
   for (const Campaign& c : kCampaigns) {
     std::vector<ModeResult> rows;
     util::Json mode_rows = util::Json::array();
@@ -250,6 +256,25 @@ int main(int argc, char** argv) {
       ModeResult r = run_mode(mode, c.use_case, duration_s);
       parity_all = parity_all && r.span_parity;
       mode_rows.push_back(mode_json(r));
+      // Every mode completes runs with span parity and sane medians.
+      const std::string key = std::string(c.name) + "." + r.mode;
+      const std::string p = key + ".";
+      report.check(p + "runs", r.runs, ">", 0);
+      report.check(p + "span_parity", r.span_parity, "==", 1);
+      for (auto [field, value] :
+           {std::pair{"median_total_s", r.median_total_s},
+            {"max_total_s", r.max_total_s},
+            {"median_overhead_s", r.median_overhead_s},
+            {"median_overlap_s", r.median_overlap_s},
+            {"polls_per_run", r.polls_per_run}}) {
+        report.check(p + field, value, ">=", 0);
+      }
+      report.metric(p + "median_overhead_frac", r.median_overhead_frac);
+      report.gate(p + "median_overhead_frac.min", p + "median_overhead_frac",
+                  ">=", 0);
+      report.gate(p + "median_overhead_frac.max", p + "median_overhead_frac",
+                  "<=", 1);
+      by_mode[key] = r;
       rows.push_back(std::move(r));
     }
     print_campaign(c.title, rows, c.paper_pct);
@@ -259,15 +284,36 @@ int main(int argc, char** argv) {
         {"modes", std::move(mode_rows)},
     }));
   }
+  report.check("span_parity_all", parity_all, "==", 1);
 
-  util::Json doc = util::Json::object({
-      {"schema", "pico.bench.overhead.v1"},
+  // Headline claim 1: event-driven completion cuts the hyperspectral median
+  // overhead fraction below paper-default polling, by >= 2x at full length.
+  const double poll =
+      by_mode["hyperspectral.paper_polling"].median_overhead_frac;
+  const double event =
+      by_mode["hyperspectral.event_driven"].median_overhead_frac;
+  report.check("hyperspectral.event_minus_poll_overhead_frac", event - poll,
+               "<", 0);
+  report.metric("hyperspectral.poll_over_event_overhead_ratio",
+                event > 0 ? poll / event : std::numeric_limits<double>::max());
+  if (!smoke) {
+    report.gate("full.hyperspectral.poll_over_event_overhead_ratio",
+                "hyperspectral.poll_over_event_overhead_ratio", ">=", 2.0);
+  }
+  // Headline claim 2: cut-through streaming cuts the spatiotemporal median
+  // *total* runtime below event-only completion, through real overlap.
+  const ModeResult& streaming = by_mode["spatiotemporal.event_streaming"];
+  report.check("spatiotemporal.streaming_minus_event_total_s",
+               streaming.median_total_s -
+                   by_mode["spatiotemporal.event_driven"].median_total_s,
+               "<", 0);
+  report.gate("spatiotemporal.event_streaming.overlap_positive",
+              "spatiotemporal.event_streaming.median_overlap_s", ">", 0);
+
+  util::Json detail = util::Json::object({
       {"duration_s", duration_s},
       {"span_parity_all", parity_all},
       {"campaigns", std::move(campaigns)},
   });
-  util::write_file(out_path, doc.dump(2) + "\n");
-  std::printf("\nwrote %s (span parity: %s)\n", out_path.c_str(),
-              parity_all ? "ok" : "FAIL");
-  return parity_all ? 0 : 1;
+  return report.write(out_path, std::move(detail));
 }

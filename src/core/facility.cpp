@@ -335,8 +335,7 @@ util::Result<Json> Facility::run_hyperspectral_analysis(const Json& args) {
   }
 
   analysis::HyperspectralAnalysis result = analysis::analyze_hyperspectral(
-      cube.value(), energy_axis, {},
-      config_.parallel_data_plane ? &util::shared_pool() : nullptr);
+      cube.value(), energy_axis, {}, &util::shared_pool());
 
   // Artifacts: intensity map (Fig. 2A) + spectrum with element markers
   // (Fig. 2B), written to the real filesystem for the portal.
@@ -430,14 +429,12 @@ util::Result<Json> Facility::run_spatiotemporal_analysis(const Json& args) {
 
   // EMD -> video conversion (the paper's fp64 -> uint8 bottleneck), then
   // per-frame detection, tracking, and annotation burn-in. The parallel
-  // conversion is bit-identical to convert_fast, so the knob changes wall
-  // clock only; convert_naive stays untouched as the A4 pessimal baseline.
+  // conversion is bit-identical to convert_fast; convert_naive stays
+  // untouched as the A4 pessimal baseline.
   bool naive = args.at("naive_convert").as_bool(false);
   tensor::Tensor<uint8_t> frames_u8 =
       naive ? video::convert_naive(stack.value())
-      : config_.parallel_data_plane
-          ? video::convert_parallel(stack.value(), util::shared_pool())
-          : video::convert_fast(stack.value());
+            : video::convert_parallel(stack.value(), util::shared_pool());
   video::MpkVideo mpk = video::MpkVideo::from_stack(frames_u8);
 
   // Per-frame detection fans out across the whole node (the paper's compute

@@ -44,12 +44,6 @@ struct FacilityConfig {
   double compute_node_failure_prob = 0.0;
   /// Real-filesystem directory where analysis functions write plot artifacts.
   std::string artifact_dir = "picoflow-artifacts";
-  /// Run the analysis functions' real data-plane kernels (fp64->uint8
-  /// conversion, axis reductions) on the shared thread pool, the way the
-  /// paper's compute functions own a whole Polaris node. The parallel
-  /// kernels are bit-identical to their sequential twins, so flipping this
-  /// never changes analysis results or campaign reports — only wall clock.
-  bool parallel_data_plane = true;
   int64_t user_store_capacity = static_cast<int64_t>(10e12);   // 10 TB
   int64_t eagle_capacity = static_cast<int64_t>(100e15);       // O(100 PB)
   /// Aggregate node-memory budget for direct-streamed acquisitions.

@@ -736,7 +736,8 @@ void FlowService::activate_prestarted(Run& run) {
     return;
   }
   const ActionState& step = run.definition().steps[run.info.current_step];
-  ActionProvider* provider = providers_[run.step_pids[run.info.current_step]];
+  run.cur_pid = run.step_pids[run.info.current_step];
+  ActionProvider* provider = providers_[run.cur_pid];
 
   StepTiming timing;
   timing.name = step.name;

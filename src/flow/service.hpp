@@ -220,8 +220,7 @@ struct FlowServiceConfig {
   /// Inter-step hop in Events mode: the engine advances inside the event
   /// callback instead of waiting for the next scheduler tick.
   double event_inter_step_latency_s = 0.1;
-  /// Safety-net poller used in Events mode (and the "adaptive polling"
-  /// mode when events are off but this policy is installed as `backoff`).
+  /// Safety-net poller used in Events mode.
   BackoffPolicy reconcile_backoff = BackoffPolicy::adaptive();
   /// Per-provider circuit breaker (shared across all runs). While open,
   /// dispatches fail fast — each wait consumes one step retry — and the

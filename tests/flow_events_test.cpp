@@ -23,10 +23,15 @@ using util::Json;
 /// release only acknowledges adoption, like a warmed compute environment).
 class EventfulProvider final : public ActionProvider {
  public:
-  EventfulProvider(sim::Engine* engine, bool events, bool progress, bool held)
-      : engine_(engine), events_(events), progress_(progress), held_(held) {}
+  EventfulProvider(sim::Engine* engine, bool events, bool progress, bool held,
+                   std::string name = "eventful")
+      : engine_(engine),
+        events_(events),
+        progress_(progress),
+        held_(held),
+        name_(std::move(name)) {}
 
-  std::string name() const override { return "eventful"; }
+  std::string name() const override { return name_; }
 
   util::Result<ActionHandle> start(const Json& params,
                                    const auth::Token&) override {
@@ -36,7 +41,13 @@ class EventfulProvider final : public ActionProvider {
   ActionPollResult poll(const ActionHandle& handle) override {
     ++polls_;
     ActionPollResult out;
-    const Action& a = actions_.at(handle);
+    auto it = actions_.find(handle);
+    if (it == actions_.end()) {
+      out.status = ActionStatus::Failed;
+      out.error = "unknown action " + handle;
+      return out;
+    }
+    const Action& a = it->second;
     double elapsed = (engine_->now() - a.started).seconds();
     if (elapsed < a.duration) {
       out.status = ActionStatus::Active;
@@ -109,7 +120,7 @@ class EventfulProvider final : public ActionProvider {
   };
 
   util::Result<ActionHandle> begin(const Json& params) {
-    std::string handle = "evt-" + std::to_string(next_++);
+    std::string handle = name_ + "-" + std::to_string(next_++);
     Action a;
     a.started = engine_->now();
     a.duration = params.at("duration_s").as_double(1.0);
@@ -121,6 +132,7 @@ class EventfulProvider final : public ActionProvider {
 
   sim::Engine* engine_;
   bool events_, progress_, held_;
+  std::string name_;
   bool refuse_held_ = false;
   std::map<ActionHandle, Action> actions_;
   uint64_t next_ = 1;
@@ -328,6 +340,30 @@ TEST_F(EventsFixture, StreamingPreDispatchOverlapsAdjacentSteps) {
   EXPECT_NEAR(timing.overlap_s(), 10.0, 1e-9);
   EXPECT_LT(timing.active_union_s(), timing.active_s());
   EXPECT_GE(timing.total_s(), timing.active_union_s());
+}
+
+TEST_F(EventsFixture, StreamingStepOnAnotherProviderIsPolledThere) {
+  // The real flows stream a compute step behind a transfer step: the adopted
+  // held action must be polled through its own provider, not the previous
+  // step's, or the pre-dispatch is lost and the step re-runs serialized.
+  FlowServiceConfig cfg;
+  cfg.completion_mode = CompletionMode::Events;
+  setup(cfg);
+  EventfulProvider compute(&engine, /*events=*/true, /*progress=*/false,
+                           /*held=*/true, "eventful-compute");
+  service->register_provider(&compute);
+  ActionState b = step("B", 10, /*streaming=*/true);
+  b.provider = compute.name();
+  FlowDefinition def{"stream2", {step("A", 20, false, true), b}};
+  RunId id = run_flow(def);
+  EXPECT_EQ(service->info(id).state, RunState::Succeeded);
+  const RunTiming& timing = service->timing(id);
+  ASSERT_EQ(timing.steps.size(), 2u);
+  EXPECT_TRUE(timing.steps[1].streamed);
+  EXPECT_EQ(timing.steps[1].retries, 0);
+  EXPECT_EQ(compute.held_starts(), 1);
+  EXPECT_EQ(compute.releases(), 1);
+  EXPECT_NEAR(timing.overlap_s(), 10.0, 1e-9);
 }
 
 TEST_F(EventsFixture, StreamingFallsBackSerializedWithoutHeldSupport) {
