@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <numeric>
 
 #include "util/crc64.hpp"
@@ -56,6 +57,20 @@ std::string leaf_to_string(const util::Json& j) {
     case util::Json::Type::Double: return j.dump();
     default: return j.dump();
   }
+}
+
+/// True when `want` can equal only the rendering of a String leaf, so every
+/// document matching a filter on it holds tokenize(want) as terms
+/// (tokenize_json tokenizes every String leaf). leaf_to_string renders the
+/// other leaves as "true"/"false" (Bool), "null" (Null, and NaN/Inf Double),
+/// text strtod parses whole (Int, finite Double), or a dump starting with '{'
+/// or '[' (Object, Array). Anything looking like one of those is refused.
+bool renders_only_strings(const std::string& want) {
+  if (want == "true" || want == "false" || want == "null") return false;
+  if (!want.empty() && (want[0] == '{' || want[0] == '[')) return false;
+  char* end = nullptr;
+  std::strtod(want.c_str(), &end);
+  return end != want.c_str() + want.size();
 }
 
 /// Distinct terms of a document with their occurrence counts.
@@ -284,18 +299,52 @@ bool Index::visible(const Document& doc, const auth::Identity& caller) const {
 
 std::vector<Hit> Index::search(const Query& query,
                                const auth::Identity& caller) const {
+  // Filter narrowing (DESIGN.md §16): the tokens of every filter value that
+  // only a String leaf can render must all be terms of a matching document,
+  // so their postings bound the candidates. A token no live document holds
+  // means no document matches. The per-document check below stays the final
+  // word on every filter.
+  std::vector<uint32_t> narrow;  // term ids, rarest first
+  for (const auto& [path, want] : query.field_filters) {
+    if (!renders_only_strings(want)) continue;
+    for (const auto& tok : tokenize(want)) {
+      auto it = term_ids_.find(tok);
+      if (it == term_ids_.end() || terms_[it->second].df_live == 0) return {};
+      narrow.push_back(it->second);
+    }
+  }
+  std::sort(narrow.begin(), narrow.end(), [&](uint32_t a, uint32_t b) {
+    if (terms_[a].df_live != terms_[b].df_live) {
+      return terms_[a].df_live < terms_[b].df_live;
+    }
+    return a < b;
+  });
+  narrow.erase(std::unique(narrow.begin(), narrow.end()), narrow.end());
+
   // Candidate scoring: TF-IDF over the free-text terms; documents must match
-  // every term (AND). With no text, every visible document is a candidate.
-  // The intersection runs rarest-term-first with galloping cursors, but each
+  // every term (AND). With no text, every live document is a candidate, or
+  // with narrowing terms the live postings of the rarest one. The
+  // intersection runs rarest-term-first with galloping cursors, but each
   // document's score is still accumulated in query-term order so the doubles
   // come out bit-identical to the naive per-term walk.
   auto terms = tokenize(query.text);
-  std::vector<uint32_t> cand;  // candidate slots, ascending
+  // Candidate slots: ascending, except the all-live case (ingest order).
+  std::vector<uint32_t> cand;
   std::vector<double> cand_scores;
+  size_t narrowed = 0;  // narrow[0, narrowed) already applied to cand
   if (terms.empty()) {
-    cand.reserve(live_);
-    for (uint32_t slot : ingest_order_) {
-      if (slots_[slot].alive) cand.push_back(slot);
+    if (narrow.empty()) {
+      cand.reserve(live_);
+      for (uint32_t slot : ingest_order_) {
+        if (slots_[slot].alive) cand.push_back(slot);
+      }
+    } else {
+      Cursor cur(terms_[narrow[0]]);
+      uint32_t slot = 0, tf = 0;
+      while (cur.next(&slot, &tf)) {
+        if (alive(slot)) cand.push_back(slot);
+      }
+      narrowed = 1;
     }
     cand_scores.assign(cand.size(), 1.0);
   } else {
@@ -369,7 +418,25 @@ std::vector<Hit> Index::search(const Query& query,
     }
   }
 
-  std::vector<Hit> hits;
+  for (size_t k = narrowed; k < narrow.size() && !cand.empty(); ++k) {
+    Cursor cur(terms_[narrow[k]]);
+    size_t n = 0;
+    for (size_t i = 0; i < cand.size(); ++i) {
+      uint32_t tf = 0;
+      if (!cur.seek(cand[i], &tf)) continue;
+      cand[n] = cand[i];
+      cand_scores[n] = cand_scores[i];
+      ++n;
+    }
+    cand.resize(n);
+    cand_scores.resize(n);
+  }
+
+  struct Match {
+    uint32_t slot;
+    double score;
+  };
+  std::vector<Match> matches;
   for (size_t i = 0; i < cand.size(); ++i) {
     const Document& doc = slots_[cand[i]].doc;
     if (!visible(doc, caller)) continue;
@@ -402,14 +469,22 @@ std::vector<Hit> Index::search(const Query& query,
       if (query.date_to_unix && when > *query.date_to_unix) continue;
     }
 
-    hits.push_back(Hit{doc.id, cand_scores[i]});
+    matches.push_back(Match{cand[i], cand_scores[i]});
   }
 
-  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.id < b.id;
-  });
-  if (hits.size() > query.limit) hits.resize(query.limit);
+  // Ids are unique among live documents, so (score desc, id asc) is a total
+  // order and the top `limit` come out exactly as a full sort would give.
+  const size_t k = std::min(query.limit, matches.size());
+  std::partial_sort(matches.begin(), matches.begin() + k, matches.end(),
+                    [this](const Match& a, const Match& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return slots_[a.slot].doc.id < slots_[b.slot].doc.id;
+                    });
+  std::vector<Hit> hits;
+  hits.reserve(k);
+  for (size_t i = 0; i < k; ++i) {
+    hits.push_back(Hit{slots_[matches[i].slot].doc.id, matches[i].score});
+  }
   return hits;
 }
 

@@ -17,6 +17,10 @@
 //   - Queries intersect rarest-term-first with galloping cursors over the
 //     packed segments; scores still accumulate in query-term order, so
 //     ranking stays bit-identical to the previous map-of-maps index.
+//   - Field filters are checked per candidate document, but a filter value
+//     that only a String leaf can render first narrows the candidates to
+//     the postings of its tokens (seeding them when there is no text), and
+//     only the top `limit` hits are sorted (DESIGN.md §16).
 //   - remove() is O(terms of the doc): postings keep tombstoned entries
 //     (filtered against the slot alive bit on read, purged once they
 //     outnumber live ones) and the ingest-order list marks the position dead

@@ -7,6 +7,7 @@
 // -> flow run -> step -> provider attempt forms a tree that the telemetry
 // exporters (Chrome trace_event, JSONL) can render hierarchically. Ids are
 // assigned by telemetry::Tracer; spans appended directly keep id 0 (roots).
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -24,6 +25,9 @@ struct SpanEvent {
   util::Json attrs;
 };
 
+/// "No span" sentinel for the trace's span-index links.
+inline constexpr uint32_t kNoSpan = UINT32_MAX;
+
 /// A completed interval attributed to a component and category.
 struct Span {
   std::string component;  ///< e.g. "transfer", "compute", "flow"
@@ -39,30 +43,35 @@ struct Span {
   /// Recording order, assigned by Trace::add under its mutex. Exporters use
   /// it as the final sort-key tie-break (timestamp, span_id, seq) so spans
   /// closed at the same integer nanosecond — common with parallel data-plane
-  /// workers — serialize in a stable order. Kept last so positional
-  /// aggregate initializers written before it existed stay valid.
+  /// workers — serialize in a stable order. Kept after the original fields
+  /// (with next_sibling) so positional aggregate initializers written before
+  /// it existed stay valid.
   uint64_t seq = 0;
+  /// Next span with the same parent_id, in recording order: the intrusive
+  /// link behind Trace::children_of, written by Trace::add (kNoSpan = last).
+  uint32_t next_sibling = kNoSpan;
 
   double duration_seconds() const { return (end - start).seconds(); }
 };
 
 /// Append-only trace. `add` is guarded by a mutex so parallel data-plane
 /// workers may record concurrently with the (single-threaded) sim engine.
-/// The read accessors (`spans`, `select`) hand out references into the
-/// underlying vector and therefore require quiescence: call them only when no
-/// writer is active (after engine().run() returns, or from the engine thread
-/// when no pool work records spans) — the usual post-run reporting pattern.
+/// The read accessors hand out pointers into the underlying vector and
+/// therefore require quiescence: call them only when no writer is active
+/// (after engine().run() returns, or from the engine thread when no pool work
+/// records spans) — the usual post-run reporting pattern.
+///
+/// Read cost: `find` is O(1) and `children_of` O(children), through two
+/// indexes `add` keeps up to date (DESIGN.md §16): an open-addressing table
+/// from the (component, category, label) hash to the first such span, and one
+/// from parent_id to the head and tail of an intrusive sibling list threaded
+/// through Span::next_sibling. Both tables are flat vectors, so recording a
+/// span allocates nothing beyond amortized table growth. `select`,
+/// `sorted_spans` and `to_jsonl` scan every span.
 class Trace {
  public:
-  void add(Span span) {
-    std::lock_guard lock(mu_);
-    span.seq = next_seq_++;
-    spans_.push_back(std::move(span));
-  }
-  void clear() {
-    std::lock_guard lock(mu_);
-    spans_.clear();
-  }
+  void add(Span span);
+  void clear();
 
   const std::vector<Span>& spans() const { return spans_; }
 
@@ -87,9 +96,34 @@ class Trace {
   std::vector<const Span*> sorted_spans() const;
 
  private:
+  /// One open-addressing slot. `key` is the label-triple hash (by_label_) or
+  /// the parent_id (by_parent_); `head` == kNoSpan marks an empty slot.
+  struct Bucket {
+    uint64_t key = 0;
+    uint32_t head = kNoSpan;  ///< first span with this key
+    uint32_t tail = kNoSpan;  ///< last child (by_parent_ only)
+  };
+  /// Flat open-addressing map (linear probing, power-of-two size, load at
+  /// most 3/4). A slot matches a lookup when its key is equal and
+  /// `same(head)` confirms it, which lets the label table verify the strings
+  /// behind a hash.
+  struct Table {
+    std::vector<Bucket> buckets;
+    size_t used = 0;
+
+    template <class Same>
+    const Bucket* find(uint64_t key, Same same) const;
+    /// The matching slot, or a fresh one holding (key, head); `*fresh` says
+    /// which.
+    template <class Same>
+    Bucket& insert(uint64_t key, uint32_t head, Same same, bool* fresh);
+  };
+
   mutable std::mutex mu_;
   std::vector<Span> spans_;
   uint64_t next_seq_ = 0;
+  Table by_label_;   ///< (component, category, label) -> first span
+  Table by_parent_;  ///< parent_id -> children (span_id != 0 only)
 };
 
 }  // namespace pico::sim

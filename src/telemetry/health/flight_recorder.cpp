@@ -90,6 +90,7 @@ void FlightRecorder::close(const std::string& subject, sim::SimTime at) {
     auto it = rings_.find(subject);
     if (it == rings_.end()) return;
     it->second->close(at);
+    open_.erase(subject);
     if (it->second->dump_requested() && sink_ && !dumped_[subject]) {
       dumped_[subject] = true;
       sink = sink_;
@@ -153,9 +154,9 @@ std::vector<std::pair<std::string, util::Json>> FlightRecorder::flush_dumps() {
 std::vector<FlightRecorder::OpenFlow> FlightRecorder::open_flows() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<OpenFlow> out;
-  for (const auto& [subject, ring] : rings_) {
-    if (ring->closed()) continue;
-    out.push_back({subject, ring->opened(), ring->last_event()});
+  out.reserve(open_.size());
+  for (const auto& [subject, ring] : open_) {
+    out.push_back({ring->subject(), ring->opened(), ring->last_event()});
   }
   return out;
 }
@@ -187,9 +188,11 @@ FlightRecord& FlightRecorder::ring_for(const std::string& subject,
              .emplace(subject, std::make_unique<FlightRecord>(
                                    subject, config_.ring_capacity, at))
              .first;
+    open_.emplace(it->second->subject(), it->second.get());
   } else if (it->second->closed()) {
     // Reopened (e.g. dead-letter resubmission touching the old run id).
     it->second->reopen();
+    open_.emplace(it->second->subject(), it->second.get());
     FlightEvent event;
     event.at = at;
     event.level = util::LogLevel::Info;

@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -150,8 +151,8 @@ class FlightRecorder {
   /// fires the sink for any that have not reached it yet.
   std::vector<std::pair<std::string, util::Json>> flush_dumps();
 
-  /// Subjects with rings still open (watchdog scan surface), with their
-  /// opened / last-activity timestamps.
+  /// Subjects with rings still open (watchdog scan surface), in subject
+  /// order, with their opened / last-activity timestamps. O(open rings).
   struct OpenFlow {
     std::string subject;
     sim::SimTime opened;
@@ -172,6 +173,9 @@ class FlightRecorder {
   mutable std::mutex mu_;
   FlightRecorderConfig config_;
   std::map<std::string, std::unique_ptr<FlightRecord>> rings_;
+  /// Rings not closed, by subject: what open_flows() reports. Keys view the
+  /// ring's own subject; rings are never erased, so the views stay valid.
+  std::map<std::string_view, const FlightRecord*> open_;
   std::vector<std::string> context_;
   DumpSink sink_;
   uint64_t events_recorded_ = 0;

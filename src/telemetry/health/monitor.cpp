@@ -127,9 +127,9 @@ SloInput HealthMonitor::extract_slo_input(
   return input;
 }
 
-void HealthMonitor::run_watchdogs(sim::SimTime now,
-                                  std::vector<HealthAlert>& out) {
-  const auto open = telemetry_->flight.open_flows();
+void HealthMonitor::run_watchdogs(
+    sim::SimTime now, const std::vector<FlightRecorder::OpenFlow>& open,
+    std::vector<HealthAlert>& out) {
   size_t stalled = 0;
   for (const auto& flow : open) {
     if (exempt_.count(flow.subject)) continue;
@@ -273,7 +273,11 @@ void HealthMonitor::tick() {
     fired.push_back(std::move(alert));
   }
 
-  run_watchdogs(now, fired);
+  // One open-flow snapshot serves the watchdogs and the gauge: the
+  // watchdogs only annotate rings that are already open, so the set does not
+  // change within the tick.
+  const auto open = telemetry_->flight.open_flows();
+  run_watchdogs(now, open, fired);
   score_providers(snapshot, now);
   score_links();
 
@@ -307,7 +311,7 @@ void HealthMonitor::tick() {
         .set(l.score);
   }
   size_t open_count = 0;
-  for (const auto& flow : telemetry_->flight.open_flows()) {
+  for (const auto& flow : open) {
     if (!exempt_.count(flow.subject)) ++open_count;
   }
   metrics.gauge("health_open_flows", "Flows with open flight rings")

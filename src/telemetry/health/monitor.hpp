@@ -132,7 +132,9 @@ class HealthMonitor {
   void schedule_next();
   SloInput extract_slo_input(const std::vector<MetricSample>& snapshot,
                              sim::SimTime now) const;
-  void run_watchdogs(sim::SimTime now, std::vector<HealthAlert>& out);
+  void run_watchdogs(sim::SimTime now,
+                     const std::vector<FlightRecorder::OpenFlow>& open,
+                     std::vector<HealthAlert>& out);
   void score_providers(const std::vector<MetricSample>& snapshot,
                        sim::SimTime now);
   void score_links();

@@ -4,6 +4,7 @@
 // HealthMonitor's watchdogs + provider/link scoring driven by a sim engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "telemetry/health/monitor.hpp"
 #include "telemetry/health/slo.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/rng.hpp"
 
 namespace pico::telemetry::health {
 namespace {
@@ -135,6 +137,71 @@ TEST(FlightRecorder, ClosedRingReopensOnNewActivity) {
   const auto& events = doc.at("events").as_array();
   ASSERT_EQ(events.size(), 3u);  // submitted, reopened, resubmitted
   EXPECT_EQ(events[1].at("name").as_string(), "reopened");
+}
+
+/// Brute-force open set: every subject whose dump says it is not closed, in
+/// subject order.
+void expect_open_set_matches_dumps(const FlightRecorder& rec,
+                                   const std::vector<std::string>& subjects) {
+  std::vector<std::string> sorted = subjects;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<FlightRecorder::OpenFlow> want;
+  for (const auto& subject : sorted) {
+    Json doc = rec.dump(subject);
+    if (doc.is_null() || doc.at("closed").as_bool()) continue;
+    want.push_back({subject, t(doc.at("opened_s").as_double()),
+                    t(doc.at("last_event_s").as_double())});
+  }
+  const auto got = rec.open_flows();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].subject, want[i].subject);
+    EXPECT_EQ(got[i].opened.seconds(), want[i].opened.seconds());
+    EXPECT_EQ(got[i].last_event.seconds(), want[i].last_event.seconds());
+  }
+}
+
+TEST(FlightRecorder, OpenFlowsEqualsClosedFlagFilterOverRandomOps) {
+  for (bool enabled : {true, false}) {
+    FlightRecorderConfig config;
+    config.enabled = enabled;
+    config.ring_capacity = 8;
+    FlightRecorder rec(config);
+    int sunk = 0;
+    rec.set_dump_sink([&](const std::string&, const Json&) { ++sunk; });
+    std::vector<std::string> subjects;
+    for (int i = 0; i < 24; ++i) subjects.push_back("run-" + std::to_string(i));
+    subjects.push_back("");  // ignored by every operation
+
+    util::Rng rng(enabled ? 11 : 12);
+    for (int step = 0; step < 3000; ++step) {
+      const std::string& s = subjects[rng.uniform_int(0, 24)];
+      const sim::SimTime at = t(step);
+      switch (rng.uniform_int(0, 4)) {
+        case 0: rec.open(s, at); break;
+        case 1:  // reopens a closed ring
+          rec.record(s, rng.chance(0.1) ? LogLevel::Error : LogLevel::Info,
+                     "flow", "state", at);
+          break;
+        case 2: rec.close(s, at); break;
+        case 3:  // on a closed subject too
+          rec.request_dump(s, "deadline-miss", at);
+          break;
+        default: rec.close(s, at); break;  // double close is a no-op
+      }
+      if (step % 7 == 0) {
+        ASSERT_NO_FATAL_FAILURE(expect_open_set_matches_dumps(rec, subjects));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_open_set_matches_dumps(rec, subjects));
+    if (enabled) {
+      EXPECT_EQ(rec.ring_count(), 24u);
+      EXPECT_GT(sunk, 0);
+    } else {
+      EXPECT_EQ(rec.ring_count(), 0u);
+      EXPECT_TRUE(rec.open_flows().empty());
+    }
+  }
 }
 
 // ------------------------------------------------------------ SLO engine ----

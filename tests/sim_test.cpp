@@ -178,3 +178,89 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineOrdering,
 
 }  // namespace
 }  // namespace pico::sim
+
+// Differential: the indexed Trace::find / children_of equal a brute-force
+// scan over spans(), pointer for pointer and in order, across duplicate
+// label keys, untraced (span_id 0) spans, children recorded before their
+// parent, a many-child hub, and clear() followed by re-adding.
+namespace pico::sim {
+namespace {
+
+const Span* scan_find(const Trace& trace, const std::string& component,
+                      const std::string& category, const std::string& label) {
+  for (const auto& s : trace.spans()) {
+    if (s.component == component && s.category == category &&
+        s.label == label) {
+      return &s;
+    }
+  }
+  return nullptr;
+}
+
+std::vector<const Span*> scan_children(const Trace& trace, uint64_t parent) {
+  std::vector<const Span*> out;
+  for (const auto& s : trace.spans()) {
+    if (s.parent_id == parent && s.span_id != 0) out.push_back(&s);
+  }
+  return out;
+}
+
+const char* const kComponents[] = {"flow", "transfer", "compute"};
+const char* const kCategories[] = {"run", "step", "active", "run-failed"};
+
+void add_random_spans(Trace& trace, util::Rng& rng, size_t n,
+                      uint64_t max_id) {
+  for (size_t i = 0; i < n; ++i) {
+    Span s;
+    s.component = kComponents[rng.uniform_int(0, 2)];
+    s.category = kCategories[rng.uniform_int(0, 3)];
+    s.label = "r" + std::to_string(rng.uniform_int(0, 40));
+    s.start = SimTime::from_seconds(rng.uniform(0, 100));
+    s.end = s.start + Duration::from_seconds(1);
+    // About a fifth untraced; parents drawn from the whole id range, so many
+    // children land before (or without) their parent; a third of traced
+    // spans hang off one hub.
+    s.span_id = rng.chance(0.2) ? 0 : rng.uniform_int(1, max_id);
+    s.parent_id = rng.chance(0.3) ? 7 : rng.uniform_int(0, max_id);
+    trace.add(std::move(s));
+  }
+}
+
+void expect_index_matches_scan(const Trace& trace, uint64_t max_id) {
+  for (const char* c : kComponents) {
+    for (const char* cat : kCategories) {
+      for (int l = 0; l <= 42; ++l) {  // 41 and 42 are never recorded
+        const std::string label = "r" + std::to_string(l);
+        ASSERT_EQ(trace.find(c, cat, label), scan_find(trace, c, cat, label))
+            << c << "/" << cat << "/" << label;
+      }
+    }
+  }
+  EXPECT_EQ(trace.find("", "", ""), nullptr);
+  for (uint64_t p = 0; p <= max_id + 2; ++p) {
+    ASSERT_EQ(trace.children_of(p), scan_children(trace, p)) << p;
+  }
+}
+
+class TraceIndex : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TraceIndex, FindAndChildrenEqualBruteForceScan) {
+  util::Rng rng(GetParam());
+  constexpr uint64_t kMaxId = 300;
+  Trace trace;
+  add_random_spans(trace, rng, 4000, kMaxId);
+  expect_index_matches_scan(trace, kMaxId);
+  EXPECT_GT(trace.children_of(7).size(), 500u);  // the hub
+
+  trace.clear();
+  EXPECT_TRUE(trace.spans().empty());
+  expect_index_matches_scan(trace, kMaxId);
+
+  add_random_spans(trace, rng, 700, kMaxId);
+  expect_index_matches_scan(trace, kMaxId);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TraceIndex, ::testing::Values(1, 29, 4242));
+
+}  // namespace
+}  // namespace pico::sim
