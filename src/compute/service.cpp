@@ -26,8 +26,8 @@ std::string task_state_name(TaskState s) {
 }
 
 ComputeService::ComputeService(sim::Engine* engine, auth::AuthService* auth,
-                               uint64_t seed, sim::Trace* trace)
-    : engine_(engine), auth_(auth), rng_(seed), trace_(trace) {}
+                               uint64_t seed)
+    : engine_(engine), auth_(auth), rng_(seed) {}
 
 FunctionId ComputeService::register_function(FunctionSpec spec) {
   FunctionId id = "fn-" + spec.name;
@@ -285,9 +285,6 @@ void ComputeService::begin_execution(const EndpointId& eid, const TaskId& tid,
                   "node-failure", engine_->now(),
                   util::Json::object({{"task", tid}, {"job", job_for_log}}));
             }
-          } else if (trace_) {
-            trace_->add(sim::Span{"compute", "node-failure", tid,
-                                  t.info.started, t.info.completed, {}});
           }
           pump_endpoint(eid);
           if (t.settled_cb) t.settled_cb(t.info);
@@ -315,12 +312,6 @@ void ComputeService::begin_execution(const EndpointId& eid, const TaskId& tid,
               .histogram("compute_task_active_seconds",
                          "Service-side execution time per compute task")
               .observe((t.info.completed - t.info.started).seconds());
-        } else if (trace_) {
-          trace_->add(sim::Span{
-              "compute", result ? "active" : "failed", tid, t.info.started,
-              t.info.completed,
-              util::Json::object({{"function", t.function},
-                                  {"cold_start", t.info.cold_start}})});
         }
 
         // Free the node and mark it warmed (libraries now cached).

@@ -43,7 +43,7 @@ Facility::Facility(FacilityConfig config, sim::Engine* shared_engine)
   tcfg.max_retries = config_.transfer_max_retries;
   tcfg.per_flow_rate_cap_bps = config_.cost.per_flow_rate_cap_bps;
   transfer_ = std::make_unique<transfer::TransferService>(
-      engine_, network_.get(), &auth_, tcfg, config_.seed ^ 0x7F1, &trace_);
+      engine_, network_.get(), &auth_, tcfg, config_.seed ^ 0x7F1);
   transfer_->register_endpoint(kUserEndpoint, user_node_, &user_store_);
   transfer_->register_endpoint(kEagleEndpoint, eagle_node_, &eagle_);
 
@@ -71,7 +71,7 @@ Facility::Facility(FacilityConfig config, sim::Engine* shared_engine)
                                                 config_.seed ^ 0x9B5);
 
   compute_ = std::make_unique<compute::ComputeService>(
-      engine_, &auth_, config_.seed ^ 0xC03, &trace_);
+      engine_, &auth_, config_.seed ^ 0xC03);
   compute::EndpointConfig ecfg;
   ecfg.name = "polaris";
   ecfg.scheduler = pbs_.get();
@@ -83,7 +83,7 @@ Facility::Facility(FacilityConfig config, sim::Engine* shared_engine)
   polaris_ep_ = compute_->register_endpoint(ecfg);
 
   flows_ = std::make_unique<flow::FlowService>(
-      engine_, &auth_, config_.flow, config_.seed ^ 0xF70, &trace_);
+      engine_, &auth_, config_.flow, config_.seed ^ 0xF70);
   transfer_provider_ = std::make_unique<TransferProvider>(transfer_.get());
   stream_provider_ = std::make_unique<StreamProvider>(stream_.get());
   compute_provider_ = std::make_unique<ComputeProvider>(compute_.get());

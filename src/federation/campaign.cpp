@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <utility>
 
-#include "auth/auth.hpp"
 #include "fault/injector.hpp"
+#include "federation/scripted_site.hpp"
 #include "search/index.hpp"
 #include "sim/engine.hpp"
 
@@ -17,129 +14,6 @@ namespace pico::federation {
 namespace {
 
 using util::Json;
-
-/// O(1) scripted provider (the A13 null-provider idiom): every action
-/// succeeds after its `duration_s` param of virtual time. `fail_next`
-/// scripts deterministic failures for the failover tests.
-class SimNullProvider : public flow::ActionProvider {
- public:
-  explicit SimNullProvider(sim::Engine* engine) : engine_(engine) {}
-
-  std::string name() const override { return "null"; }
-
-  util::Result<flow::ActionHandle> start(const Json& params,
-                                         const auth::Token&) override {
-    Action a;
-    a.started = engine_->now();
-    a.duration_ns =
-        static_cast<int64_t>(params.at("duration_s").as_double(1.0) * 1e9);
-    if (fail_budget_ > 0) {
-      fail_budget_--;
-      a.fail = true;
-    }
-    starts_++;
-    size_t idx = actions_.size();
-    actions_.push_back(a);
-    return util::Result<flow::ActionHandle>::ok(std::to_string(idx));
-  }
-
-  flow::ActionPollResult poll(const flow::ActionHandle& handle) override {
-    flow::ActionPollResult out;
-    const Action& a = actions_[std::strtoull(handle.c_str(), nullptr, 10)];
-    if ((engine_->now() - a.started).ns < a.duration_ns) {
-      out.status = flow::ActionStatus::Active;
-      return out;
-    }
-    if (a.fail) {
-      out.status = flow::ActionStatus::Failed;
-      out.error = "scripted failure";
-      return out;
-    }
-    out.status = flow::ActionStatus::Succeeded;
-    out.service_started = a.started;
-    out.service_completed = a.started + sim::Duration{a.duration_ns};
-    out.output = Json::object({{"ok", true}});
-    return out;
-  }
-
-  bool subscribe(const flow::ActionHandle& handle,
-                 std::function<void()> callback) override {
-    const Action& a = actions_[std::strtoull(handle.c_str(), nullptr, 10)];
-    engine_->post_at(a.started + sim::Duration{a.duration_ns},
-                     std::move(callback));
-    return true;
-  }
-
-  /// Script the next `n` started actions to fail (consumed in start order).
-  void fail_next(int n) { fail_budget_ += n; }
-  uint64_t starts() const { return starts_; }
-
- private:
-  struct Action {
-    sim::SimTime started;
-    int64_t duration_ns = 0;
-    bool fail = false;
-  };
-  sim::Engine* engine_;
-  std::vector<Action> actions_;
-  uint64_t starts_ = 0;
-  int fail_budget_ = 0;
-};
-
-/// Null provider that publishes one content-pure record per started action
-/// into the SHARED federation index. No attempt counters, no site names —
-/// re-publication after a failover overwrites with identical bytes, which is
-/// what makes the chaos/fault-free fingerprint parity gate possible.
-class SimPublishProvider : public SimNullProvider {
- public:
-  SimPublishProvider(sim::Engine* engine, search::Index* index)
-      : SimNullProvider(engine), index_(index) {}
-
-  std::string name() const override { return "publish"; }
-
-  util::Result<flow::ActionHandle> start(const Json& params,
-                                         const auth::Token& token) override {
-    auto handle = SimNullProvider::start(params, token);
-    if (handle) {
-      search::Document doc;
-      doc.id = params.at("subject").as_string("doc");
-      doc.content = Json::object({
-          {"name", doc.id},
-          {"resource_type", "federated_flow"},
-      });
-      index_->ingest(std::move(doc));
-    }
-    return handle;
-  }
-
- private:
-  search::Index* index_;
-};
-
-/// One lightweight site: its own auth domain, orchestrator, breakers, and
-/// providers — everything per-facility state the tentpole replicates —
-/// sharing only the engine and the publish index.
-struct SiteRuntime {
-  std::string name;
-  auth::AuthService auth;
-  flow::FlowService flows;
-  SimNullProvider null_provider;
-  SimPublishProvider publish_provider;
-  auth::Token token;
-
-  SiteRuntime(const std::string& n, sim::Engine* engine,
-              const flow::FlowServiceConfig& cfg, uint64_t seed,
-              search::Index* index)
-      : name(n),
-        flows(engine, &auth, cfg, seed),
-        null_provider(engine),
-        publish_provider(engine, index) {
-    flows.set_site(n);
-    flows.register_provider(&null_provider);
-    flows.register_provider(&publish_provider);
-    token = auth.issue("broker@" + n, {"flows"});
-  }
-};
 
 std::string subject_of(size_t i) {
   char buf[32];
@@ -208,10 +82,10 @@ FederatedCampaignResult run_federated_campaign(
   fcfg.completion_mode = config.completion_mode;
 
   Broker broker(config.broker);
-  std::vector<std::unique_ptr<SiteRuntime>> sites;
+  std::vector<std::unique_ptr<ScriptedSite>> sites;
   for (size_t i = 0; i < config.sites.size(); ++i) {
     const auto& spec = config.sites[i];
-    sites.push_back(std::make_unique<SiteRuntime>(
+    sites.push_back(std::make_unique<ScriptedSite>(
         spec.name, &engine, fcfg, config.seed + i * 1000003ull, &index));
     Site site;
     site.name = spec.name;

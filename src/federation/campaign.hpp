@@ -1,13 +1,14 @@
 #pragma once
-// Federated campaign driver: N lightweight sites (FlowService + scripted
-// providers, all on ONE shared engine so virtual clocks agree) under one
-// Broker, driven by thousands of simulated users submitting a large flow
-// population with site-level chaos running mid-campaign. This is the harness
-// behind bench_federation (A14) and the federation tests — a deliberately
-// slim counterpart to core::Campaign that scales to 10^5 flows by skipping
-// the byte-level transfer/compute machinery and measuring only what the
-// tentpole claims: completion under failover, fairness under quotas,
-// recovery time, and publish-index parity.
+// Federated campaign driver: N scripted sites (federation/scripted_site.hpp,
+// all on ONE shared engine so virtual clocks agree) under one Broker, driven
+// by thousands of simulated users submitting a large flow population with
+// site-level chaos running mid-campaign. This is the harness behind
+// bench_federation (A14) and the federation tests. Its sites run scripted
+// providers instead of the byte-level transfer/compute stack, so it scales to
+// 10^5 flows and measures the broker alone: completion under failover,
+// fairness under quotas, recovery time, and publish-index parity. A real
+// core::Facility is not yet a site kind here; core::run_campaign still
+// drives one facility without a broker.
 //
 // Every published search document is content-pure (id + logical fields only,
 // no attempt counters, no site names), so the shared index fingerprint of a

@@ -11,8 +11,9 @@
 //   3. resume_at          — relaunch at the peer via FlowService::resume,
 //      starting at the checkpointed step with fresh retry state.
 //
-// The broker composes 1-3; tests drive them directly against two Facility
-// instances on a shared engine.
+// The broker composes 1-3. Tests drive them directly: checkpoint and resume
+// against two FlowServices with a scripted provider on a shared engine,
+// manifest mirroring against two bare TransferServices.
 #include <memory>
 #include <string>
 

@@ -62,14 +62,8 @@ double RunTiming::active_union_s() const {
 }
 
 FlowService::FlowService(sim::Engine* engine, auth::AuthService* auth,
-                         FlowServiceConfig config, uint64_t seed,
-                         sim::Trace* trace)
-    : engine_(engine),
-      auth_(auth),
-      config_(config),
-      rng_(seed),
-      seed_(seed),
-      trace_(trace) {}
+                         FlowServiceConfig config, uint64_t seed)
+    : engine_(engine), auth_(auth), config_(config), rng_(seed), seed_(seed) {}
 
 void FlowService::register_provider(ActionProvider* provider) {
   std::string name = provider->name();
@@ -926,14 +920,6 @@ void FlowService::complete_step(Run& run, ActionPollResult poll) {
                      {"active_s", timing.active_s()},
                      {"polls", timing.polls},
                  }));
-  } else if (trace_) {
-    trace_->add(sim::Span{"flow", "step", run.id + "/" + step.name,
-                          timing.dispatched, timing.discovered,
-                          util::Json::object({
-                              {"active_s", timing.active_s()},
-                              {"lag_s", timing.discovery_lag_s()},
-                              {"polls", timing.polls},
-                          })});
   }
 
   run.info.current_step += 1;
@@ -1062,14 +1048,6 @@ void FlowService::finish_run(Run& run) {
                      {"overhead_s", run.timing.overhead_s()},
                  }));
     telemetry_->flight.close(run.id, engine_->now());
-  } else if (trace_) {
-    trace_->add(sim::Span{"flow", "run", run.id, run.timing.submitted,
-                          run.timing.finished,
-                          util::Json::object({
-                              {"active_s", run.timing.active_s()},
-                              {"overhead_s", run.timing.overhead_s()},
-                              {"label", run.info.label},
-                          })});
   }
   if (run.finished_cb) run.finished_cb(run.id, run.info);
 }

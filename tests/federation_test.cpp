@@ -16,9 +16,11 @@
 #include "federation/failover.hpp"
 #include "federation/federation.hpp"
 #include "federation/quota.hpp"
+#include "federation/scripted_site.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "portal/federation_page.hpp"
+#include "search/index.hpp"
 #include "storage/store.hpp"
 #include "transfer/service.hpp"
 
@@ -27,12 +29,13 @@ namespace {
 
 using util::Json;
 
-/// Scriptable per-site provider: actions succeed after `duration_s` of
+/// Test-only recording provider: actions succeed after `duration_s` of
 /// virtual time, the next `fail_next(n)` starts fail at poll, and start
-/// counts/params are recorded per step key.
-class ScriptedProvider final : public flow::ActionProvider {
+/// counts/params are recorded per step key. The library's ScriptedProvider
+/// (federation/scripted_site.hpp) has no failure script and no records.
+class RecordingProvider final : public flow::ActionProvider {
  public:
-  explicit ScriptedProvider(sim::Engine* engine) : engine_(engine) {}
+  explicit RecordingProvider(sim::Engine* engine) : engine_(engine) {}
 
   std::string name() const override { return "work"; }
 
@@ -109,7 +112,7 @@ struct TestSite {
   std::string name;
   auth::AuthService auth;
   flow::FlowService flows;
-  ScriptedProvider work;
+  RecordingProvider work;
   auth::Token token;
 
   TestSite(const std::string& n, sim::Engine* engine,
@@ -650,7 +653,74 @@ TEST(FederationFailover, MirroredManifestsResumeChunksAtPeer) {
   EXPECT_EQ(info.wire_bytes, 0);
 }
 
+// ---------------------------------------------------- scripted site ----
+
+TEST(FederationScriptedSite, RepublishIsIdempotentAndSubscribeFiresOnTime) {
+  sim::Engine engine;
+  search::Index index("scripted");
+  ScriptedProvider null_provider(&engine);
+  ScriptedProvider publish(&engine, &index);
+  EXPECT_EQ(null_provider.name(), "null");
+  EXPECT_EQ(publish.name(), "publish");
+
+  const Json params =
+      Json::object({{"duration_s", 3.0}, {"subject", "flow-000007"}});
+  const sim::SimTime t0 = sim::SimTime::from_seconds(5);
+  std::vector<flow::ActionHandle> handles;
+  sim::SimTime fired;
+  engine.post_at(t0, [&] {
+    auto h = publish.start(params, auth::Token{});
+    ASSERT_TRUE(h);
+    handles.push_back(h.value());
+    EXPECT_EQ(publish.poll(h.value()).status, flow::ActionStatus::Active);
+    EXPECT_TRUE(publish.subscribe(h.value(), [&] { fired = engine.now(); }));
+  });
+  engine.run();
+  ASSERT_EQ(handles.size(), 1u);
+  EXPECT_EQ(fired, t0 + sim::Duration::from_seconds(3.0));
+  flow::ActionPollResult done = publish.poll(handles[0]);
+  EXPECT_EQ(done.status, flow::ActionStatus::Succeeded);
+  EXPECT_EQ(done.service_started, t0);
+  EXPECT_EQ(done.service_completed, fired);
+
+  // A re-publication (what a failover resume does) overwrites the record
+  // with identical bytes: same index size, same fingerprint.
+  ASSERT_EQ(index.size(), 1u);
+  const uint64_t fp = index.fingerprint();
+  ASSERT_TRUE(publish.start(params, auth::Token{}));
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(index.fingerprint(), fp);
+  // The null provider never touches the index.
+  ASSERT_TRUE(null_provider.start(params, auth::Token{}));
+  EXPECT_EQ(index.size(), 1u);
+}
+
 // ------------------------------------------------- campaign + portal ----
+
+TEST(FederationCampaign, GoldenSmallCampaign) {
+  // A 300-flow campaign under a site outage plus a brownout, pinned to golden
+  // values: any drift in the scripted sites, the broker or the flow service
+  // changes at least one of them.
+  FederatedCampaignConfig cfg;
+  cfg.flows = 300;
+  cfg.users = 20;
+  cfg.arrival_window_s = 300;
+  cfg.transfer_s = 10;
+  cfg.analyze_s = 20;
+  cfg.broker.quota.max_inflight_total = 200;
+  cfg.chaos.add({fault::FaultKind::SiteOutage, 150, 200, "alcf-east", 0});
+  cfg.chaos.add(
+      {fault::FaultKind::SiteBrownout, 100, 100, "alcf-west", 0.5});
+  FederatedCampaignResult r = run_federated_campaign(cfg);
+  EXPECT_EQ(r.fingerprint, 0x242c8330ef854277ull);
+  EXPECT_EQ(r.engine_events, 5336u);
+  EXPECT_EQ(r.completed, 300u);
+  EXPECT_DOUBLE_EQ(r.p50_s, 61.664240749000001);
+  EXPECT_DOUBLE_EQ(r.p99_s, 88.054811339000011);
+  EXPECT_EQ(r.broker.failovers, 29u);
+  EXPECT_EQ(r.broker.resumed, 22u);
+}
+
 
 TEST(FederationCampaign, ChaosCampaignMatchesFaultFreeFingerprint) {
   FederatedCampaignConfig cfg;
